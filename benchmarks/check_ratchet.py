@@ -97,6 +97,11 @@ GATES: Sequence[Gate] = (
     Gate("steady_sweep", "batched/serial speedup", _field("speedup"), 0.30),
     Gate("qla_area_sweep", "batched/serial speedup", _field("speedup"), 0.30),
     Gate("cqla_sweep", "batched/serial speedup", _field("speedup"), 0.30),
+    # The sweep gates re-based on the frozen run_legacy oracle: a fixed
+    # denominator, so the tight default tolerance applies.
+    Gate("steady_sweep_vs_oracle", "batched/oracle speedup", _field("speedup")),
+    Gate("qla_area_sweep_vs_oracle", "batched/oracle speedup", _field("speedup")),
+    Gate("cqla_sweep_vs_oracle", "batched/oracle speedup", _field("speedup")),
 )
 
 

@@ -3,7 +3,7 @@
 The acceptance shape of the code-axis PR: a ``code_level`` grid
 exploration (the CLI's ``repro explore <kernel> --code-level 1 2``)
 must resolve through the point-batched engine — each level's
-homogeneous points become one numpy pass under that level's
+homogeneous points become one compiled walk under that level's
 re-characterized latency tables — and the measured points/sec lands in
 BENCH_protocols.json so future PRs can diff the trajectory.
 

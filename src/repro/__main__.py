@@ -731,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment with tracing on and print where time went",
         description=(
             "Run an experiment with span tracing enabled and print a "
-            "per-phase time breakdown (compile, ready-vector builds, "
-            "level walks, Monte Carlo frames, ...). Use --trace to also "
+            "per-phase time breakdown (compile, dataflow walks, "
+            "Monte Carlo frames, ...). Use --trace to also "
             "keep the full Chrome/Perfetto timeline."
         ),
     )

@@ -16,11 +16,13 @@ Modules:
 
 * :mod:`repro.arch.supply` — ancilla production models (infinite, steady
   rate, pooled, per-qubit dedicated) and the declarative ready-spec
-  protocol that lets every model lower into the array engines;
+  protocol that lets every model lower into the compiled kernel;
 * :mod:`repro.arch.simulator` — the event-based dataflow simulator
   (Section 5.2's methodology);
-* :mod:`repro.arch.batched` — the point-batched engine: one numpy pass
+* :mod:`repro.arch.batched` — the production engine: one compiled walk
   simulates a whole sweep of design points, bit-identical per point;
+* :mod:`repro.arch.kernel` — builds and loads that walk (``dataflow.c``)
+  with the system C compiler;
 * :mod:`repro.arch.architectures` — the three architecture configurations;
 * :mod:`repro.arch.sweep` — the Figure 8 throughput sweep and Figure 15
   area sweep;

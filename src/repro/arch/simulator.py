@@ -16,25 +16,19 @@ limited number of ports and dirty evictions teleporting out.
 
 Two engines execute this model:
 
-* :meth:`DataflowSimulator.run` — the production engine. It consumes the
-  struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  form, allocates no per-gate objects, and lowers any supply that
-  publishes a declarative ready-time description
-  (:func:`~repro.arch.supply.declared_ready_spec`) through its closed
-  form — steady-rate kinds (the k-th ancilla exists at ``k / rate``)
-  evaluate for the whole circuit in one vectorized pass, dedicated
-  per-qubit kinds through the inlined counter loop. It is bit-identical
-  to the reference loop — the equivalence test suite asserts exact
-  equality of every :class:`SimulationResult` field across kernels and
-  supplies.
+* :meth:`DataflowSimulator.run` — the production engine: the compiled
+  program-order kernel of :mod:`repro.arch.batched` (which also
+  simulates whole sweeps of design points in one walk), run as a batch
+  of one point. Supplies publishing a declarative ready-time description
+  (:func:`~repro.arch.supply.declared_ready_spec`) are evaluated in
+  closed form inside the kernel; any other supply goes through the
+  per-gate ``acquire`` loop :func:`_run_generic`, which is also the
+  fallback when no C compiler is available.
 * :meth:`DataflowSimulator.run_legacy` — the original per-gate-object
-  reference loop, kept as the executable specification the compiled
-  engine is validated against.
-
-A third engine lives in :mod:`repro.arch.batched`: it simulates a whole
-*sweep* of design points (one supply per point) in a single vectorized
-pass over dependency levels, bit-identical to running either engine here
-once per point.
+  reference loop, kept as the executable specification (the oracle) the
+  production engine is validated against: the equivalence and fuzz
+  suites assert exact equality of every :class:`SimulationResult` field
+  and of the post-run supply state.
 """
 
 from __future__ import annotations
@@ -44,17 +38,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.trace import span as _span
-
-from repro.arch.architectures import (
-    ArchitectureKind,
-    CqlaConfig,
-    teleport_latency,
-)
+from repro.arch.architectures import CqlaConfig, teleport_latency
 from repro.arch.supply import (
     PI8,
     ZERO,
@@ -62,8 +50,6 @@ from repro.arch.supply import (
     DedicatedKindSpec,
     InfiniteSupply,
     SteadyKindSpec,
-    SteadyRateSupply,
-    declared_ready_spec,
 )
 from repro.circuits import Circuit
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
@@ -73,8 +59,6 @@ from repro.tech import ION_TRAP, TechnologyParams
 
 #: Encoded zeros per QEC step (bit + phase correction).
 ZEROS_PER_QEC = 2
-
-_INF = float("inf")
 
 
 @dataclass
@@ -170,7 +154,7 @@ def movement_teleports(
     A movement penalty at least as long as a teleport is one (two for
     two-qubit gates, which move both operands) — the accounting rule
     ``run_legacy`` applies per gate, evaluated in closed form here for
-    both fast engines.
+    the production engine.
     """
     t_teleport = teleport_latency(tech)
     teleports = 0
@@ -244,102 +228,17 @@ class DataflowSimulator:
     # Compiled engine
 
     def run(self) -> SimulationResult:
-        """Execute via the compiled array-form engine.
+        """Execute through the compiled dataflow kernel, as a batch of one.
 
         Result-identical to :meth:`run_legacy` (exact float equality),
-        several times faster: no per-gate object allocation, inlined
-        dependency updates, and closed-form steady-rate supply queries.
+        supply state included; see :mod:`repro.arch.batched`.
         """
-        with _span("simulate.setup"):
-            cc = self.compiled
-            n = cc.num_gates
-            if n == 0:
-                return SimulationResult(0.0, 0, 0, 0, 0, 0)
-            supply = self.supply
-            qec = self._logical.qec_interaction_latency()
-            move_1q = self.move_1q
-            move_2q = self.move_2q
-            teleports = movement_teleports(cc, move_1q, move_2q, self.tech)
-            movement = None
-            if move_1q or move_2q:
-                table = (0.0, move_1q, move_2q)
-                movement = [table[k] for k in cc.move_kind]
-            spec = declared_ready_spec(supply)
-            supply_ready: Optional[List[float]] = None
-            zero_spec = pi8_spec = None
-            dedicated = False
-            generic = None
-            if spec is None:
-                generic = supply.acquire
-            else:
-                zero_spec = spec.kind(ZERO)
-                pi8_spec = spec.kind(PI8)
-                zero_mode = spec_kind_mode(zero_spec)
-                pi8_mode = spec_kind_mode(pi8_spec)
-                modes = {zero_mode, pi8_mode}
-                if "unknown" in modes:
-                    # A spec type this engine cannot lower: per-gate
-                    # acquire threads state exactly, like any custom
-                    # supply.
-                    generic = supply.acquire
-                    spec = None
-                elif "dedicated" in modes and (
-                    self.cqla is not None or "steady" in modes
-                ):
-                    # Per-gate acquire keeps home-qubit counters exact
-                    # under cache reordering concerns and mixed
-                    # steady/dedicated kinds; state advances in place.
-                    generic = supply.acquire
-                    spec = None
-                elif "dedicated" in modes:
-                    dedicated = True
-                else:
-                    # Steady and/or unconstrained kinds: the whole
-                    # circuit's ready times in one closed form. The list
-                    # companion of the memoized ready vector: the serial
-                    # loops iterate it element by element, and plain
-                    # floats are ~2x faster there than np.float64
-                    # scalars.
-                    supply_ready = _steady_ready_entry(
-                        cc, zero_spec, pi8_spec
-                    )[1]
-        with _span("simulate.level_walk", gates=n):
-            if self.cqla is not None:
-                makespan, misses, cache_teleports = _run_cache(
-                    cc, self.cqla, self.tech, movement, supply_ready, generic,
-                    qec
-                )
-                teleports += cache_teleports
-            elif dedicated:
-                makespan = _run_dedicated(cc, movement, zero_spec, pi8_spec,
-                                          qec)
-                misses = 0
-            elif generic is not None:
-                makespan = _run_generic(cc, movement, generic, qec)
-                misses = 0
-            else:
-                makespan = _run_flat(cc, movement, supply_ready, qec)
-                misses = 0
-        if spec is not None and not dedicated:
-            # Commit the aggregate consumption the lowered run skipped
-            # (dedicated lowering mutates the spec's live lists in
-            # place, so only steady kinds need an explicit commit).
-            advance_zero = isinstance(zero_spec, SteadyKindSpec)
-            advance_pi8 = isinstance(pi8_spec, SteadyKindSpec)
-            if advance_zero or advance_pi8:
-                with _span("simulate.supply_advance"):
-                    if advance_zero:
-                        supply.advance(ZERO, ZEROS_PER_QEC * n)
-                    if advance_pi8:
-                        supply.advance(PI8, cc.pi8_count)
-        return SimulationResult(
-            makespan_us=float(makespan),
-            gates=n,
-            zero_ancillae_consumed=ZEROS_PER_QEC * n,
-            pi8_ancillae_consumed=cc.pi8_count,
-            cache_misses=misses,
-            teleports=teleports,
-        )
+        from repro.arch.batched import simulate_points
+
+        return simulate_points(
+            self.compiled, [self.supply], self.tech, self.move_1q,
+            self.move_2q, self.cqla,
+        )[0]
 
     # ------------------------------------------------------------------
     # Reference engine
@@ -414,230 +313,61 @@ class DataflowSimulator:
 
 
 # ----------------------------------------------------------------------
-# Compiled-engine loop bodies.
-#
-# Each is a module-level function over plain locals: per-gate work is a
-# handful of list index / compare operations and nothing else. Floating-
-# point evaluation order matches run_legacy exactly (same max chains,
-# same addition associativity), which is what makes the engines
-# bit-identical rather than merely approximately equal.
+# CQLA cache schedule and the per-gate acquire loop.
 
 
-#: Memoized steady-supply ready vectors: per compiled circuit (weak), a
-#: small LRU of rates-fingerprint -> ``(read-only ndarray, list)``.
-#: Sweeps construct a fresh supply per design point, so within one sweep
-#: each fingerprint is computed once; across repeated evaluations of the
-#: same point the whole vector is reused. Bounded so pathological rate
-#: churn cannot accumulate unbounded float matrices.
-#:
-#: Both forms are cached because they serve different consumers: the
-#: point-batched engine stacks the ndarrays into ready matrices, while
-#: the serial loops here iterate element by element — and iterating an
-#: ndarray yields np.float64 scalars whose compare/add boxing is ~2x
-#: slower than plain floats (the PR 4/5 single-point throughput
-#: regression). ``.tolist()`` preserves every float bit, so both
-#: consumers stay bit-identical to the reference loop.
-_READY_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, OrderedDict]" = (
+@dataclass(frozen=True, eq=False)
+class _CacheSchedule:
+    """Per-gate teleport-trip counts implied by LRU residency.
+
+    Which operands miss (and whether each miss evicts a resident qubit)
+    depends only on the operand sequence and the cache capacity — never
+    on gate timing — so the whole port-booking workload is a pure
+    function of (circuit, cache size), computed once and shared by every
+    point of every sweep.
+    """
+
+    trips: List[int]  # bookings gate i performs (0 for full hits)
+    trips_array: np.ndarray  # the same as int32, for the compiled kernel
+    misses: int
+    teleports: int  # total bookings == sum(trips)
+
+
+_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[int, _CacheSchedule]]" = (
     weakref.WeakKeyDictionary()
 )
-_READY_CACHE_MAX = 128
-
-_ReadyEntry = Tuple[Optional[np.ndarray], Optional[List[float]]]
 
 
-def _steady_ready_entry(
-    cc: CompiledCircuit,
-    zero: Optional[SteadyKindSpec],
-    pi8: Optional[SteadyKindSpec],
-) -> _ReadyEntry:
-    """Memoized ``(ndarray, list)`` ready-vector pair for steady specs.
-
-    Consumption order under the reference loop is program order (two
-    zeros per gate, one pi/8 per T-type gate), so the time the i-th
-    gate's ancillae exist is a pure function of i — computed here for
-    the whole circuit in one vectorized pass from the kinds' declarative
-    :class:`SteadyKindSpec` forms. A zero-rate kind yields infinity
-    (matching ``_RateCounter.acquire``); an unconstrained kind (None)
-    contributes no constraint. Returns ``(None, None)`` when no kind
-    constrains this circuit.
-    """
-    n = cc.num_gates
-    fingerprint = (
-        zero.rate_per_us if zero is not None else None,
-        zero.consumed if zero is not None else 0,
-        pi8.rate_per_us if pi8 is not None else None,
-        pi8.consumed if pi8 is not None else 0,
-    )
-    per_cc = _READY_CACHE.get(cc)
+def _cache_schedule(cc: CompiledCircuit, cache_size: int) -> _CacheSchedule:
+    """Replay the LRU walk of :meth:`DataflowSimulator.run_legacy`,
+    timing-free."""
+    per_cc = _SCHEDULE_CACHE.get(cc)
     if per_cc is None:
-        per_cc = OrderedDict()
-        _READY_CACHE[cc] = per_cc
-    elif fingerprint in per_cc:
-        per_cc.move_to_end(fingerprint)
-        return per_cc[fingerprint]
-    with _span("simulate.ready_vector", gates=n):
-        ready = None
-        if zero is not None:
-            if zero.rate_per_us == 0.0:
-                ready = np.full(n, np.inf)
+        per_cc = {}
+        _SCHEDULE_CACHE[cc] = per_cc
+    schedule = per_cc.get(cache_size)
+    if schedule is not None:
+        return schedule
+    cache = _LruCache(cache_size)
+    trips = [0] * cc.num_gates
+    misses = 0
+    for i, (a, b, c) in enumerate(zip(cc.q0, cc.q1, cc.q2)):
+        for q in (a, b, c):
+            if q < 0:
+                break
+            if q in cache:
+                cache.touch(q)
             else:
-                consumed = zero.consumed + (
-                    ZEROS_PER_QEC * np.arange(1, n + 1, dtype=np.float64)
-                )
-                ready = consumed / zero.rate_per_us
-        if pi8 is not None and cc.pi8_count:
-            if pi8.rate_per_us == 0.0:
-                pi8_ready = np.full(cc.pi8_count, np.inf)
-            else:
-                consumed = pi8.consumed + np.arange(
-                    1, cc.pi8_count + 1, dtype=np.float64
-                )
-                pi8_ready = consumed / pi8.rate_per_us
-            if ready is None:
-                ready = np.zeros(n)
-            index = cc.pi8_indices
-            ready[index] = np.maximum(ready[index], pi8_ready)
-        if ready is not None:
-            ready.setflags(write=False)
-            entry = (ready, ready.tolist())
-        else:
-            entry = (None, None)
-    per_cc[fingerprint] = entry
-    if len(per_cc) > _READY_CACHE_MAX:
-        per_cc.popitem(last=False)
-    return entry
-
-
-def _steady_ready_times(
-    cc: CompiledCircuit, supply: SteadyRateSupply
-) -> Optional[np.ndarray]:
-    """Per-gate ancilla-ready lower bounds for a steady-rate supply.
-
-    The ndarray half of :func:`_steady_ready_entry` — the form the
-    point-batched engine stacks into ready matrices. Memoized: the same
-    ``(circuit, rates-fingerprint)`` returns the identical read-only
-    array. ``None`` when the supply never constrains this circuit.
-    """
-    spec = supply.ready_spec()
-    return _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
-
-
-def _run_flat(
-    cc: CompiledCircuit,
-    movement: Optional[List[float]],
-    supply_ready: Optional[Sequence[float]],
-    qec: float,
-) -> float:
-    """Hot loop for infinite / steady-rate supplies without a cache.
-
-    ``supply_ready`` must be a list of plain floats (the list half of
-    :func:`_steady_ready_entry`): iterating an ndarray here yields
-    np.float64 scalars whose per-element boxing roughly halves
-    throughput, while ``.tolist()`` floats are bit-identical.
-    """
-    qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    move_iter = movement if movement is not None else repeat(0.0)
-    ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, c, cond, move, ready, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, ready_iter,
-        cc.latency_us, cc.result_id,
-    ):
-        t = qubit_free[a]
-        if b >= 0:
-            v = qubit_free[b]
-            if v > t:
-                t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        if move:
-            t += move
-        if ready > t:
-            t = ready
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    return max(qubit_free) if qubit_free else 0.0
-
-
-def _run_dedicated(
-    cc: CompiledCircuit,
-    movement: Optional[List[float]],
-    zero: Optional[DedicatedKindSpec],
-    pi8_spec: Optional[DedicatedKindSpec],
-    qec: float,
-) -> float:
-    """Hot loop for per-qubit dedicated generators (the QLA model).
-
-    Counter arithmetic is inlined over the specs' live rate/consumed
-    lists (mutated in place, so observable state matches a per-gate
-    ``acquire`` walk): availability depends on the consuming gate's home
-    qubit, so there is no closed form over gate index alone.
-    """
-    qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    move_iter = movement if movement is not None else repeat(0.0)
-    zero_rates = zero.rates_per_us if zero is not None else None
-    zero_consumed = zero.consumed if zero is not None else None
-    pi8_rates = pi8_spec.rates_per_us if pi8_spec is not None else None
-    pi8_consumed = pi8_spec.consumed if pi8_spec is not None else None
-    for a, b, c, cond, move, pi8, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, cc.pi8_flag,
-        cc.latency_us, cc.result_id,
-    ):
-        t = qubit_free[a]
-        if b >= 0:
-            v = qubit_free[b]
-            if v > t:
-                t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        if move:
-            t += move
-        if zero_rates is not None:
-            rate = zero_rates[a]
-            if rate == 0.0:
-                t = _INF
-            else:
-                zero_consumed[a] += ZEROS_PER_QEC
-                v = zero_consumed[a] / rate
-                if v > t:
-                    t = v
-        if pi8 and pi8_rates is not None:
-            rate = pi8_rates[a]
-            if rate == 0.0:
-                t = _INF
-            else:
-                pi8_consumed[a] += 1
-                v = pi8_consumed[a] / rate
-                if v > t:
-                    t = v
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    return max(qubit_free) if qubit_free else 0.0
+                misses += 1
+                trips[i] += 1 + (1 if cache.touch(q) is not None else 0)
+    schedule = _CacheSchedule(
+        trips=trips,
+        trips_array=np.array(trips, dtype=np.int32),
+        misses=misses,
+        teleports=sum(trips),
+    )
+    per_cc[cache_size] = schedule
+    return schedule
 
 
 def _run_generic(
@@ -645,13 +375,26 @@ def _run_generic(
     movement: Optional[List[float]],
     acquire,
     qec: float,
+    trips: Optional[List[int]] = None,
+    ports: int = 1,
+    t_teleport: float = 0.0,
 ) -> float:
-    """Hot loop for arbitrary :class:`AncillaSupply` implementations."""
+    """The per-gate ``acquire`` loop over the compiled form.
+
+    Serves any :class:`AncillaSupply` — spec-less custom supplies, and
+    every supply when the compiled kernel is unavailable; ``acquire``
+    records consumption as it goes, so no state commit follows. With
+    CQLA, ``trips`` is the :func:`_cache_schedule` booking count per gate,
+    replayed on a :class:`_PortBank`. Floating-point order matches
+    :meth:`DataflowSimulator.run_legacy` exactly.
+    """
     qubit_free = [0.0] * cc.num_qubits
     bits = [0.0] * cc.num_bits
+    bank = _PortBank(ports)
     move_iter = movement if movement is not None else repeat(0.0)
-    for a, b, c, cond, move, pi8, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, cc.pi8_flag,
+    trip_iter = trips if trips is not None else repeat(0)
+    for a, b, c, cond, k, move, pi8, latency, result in zip(
+        cc.q0, cc.q1, cc.q2, cc.cond_id, trip_iter, move_iter, cc.pi8_flag,
         cc.latency_us, cc.result_id,
     ):
         t = qubit_free[a]
@@ -667,6 +410,9 @@ def _run_generic(
             v = bits[cond]
             if v > t:
                 t = v
+        while k:
+            k -= 1
+            t = bank.book(t, t_teleport)
         if move:
             t += move
         v = acquire(ZERO, a, ZEROS_PER_QEC, t)
@@ -685,80 +431,3 @@ def _run_generic(
         if result >= 0:
             bits[result] = finish
     return max(qubit_free) if qubit_free else 0.0
-
-
-def _run_cache(
-    cc: CompiledCircuit,
-    cqla: CqlaConfig,
-    tech: TechnologyParams,
-    movement: Optional[List[float]],
-    supply_ready: Optional[Sequence[float]],
-    acquire,
-    qec: float,
-):
-    """Hot loop with CQLA compute-cache modeling.
-
-    Returns ``(makespan, cache_misses, teleports)``. Supply constraints
-    come either from a precomputed steady-rate ready list (plain floats,
-    as in :func:`_run_flat`) or from per-gate ``acquire`` calls
-    (``acquire`` may be None for infinite).
-    """
-    qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    cache = _LruCache(cqla.cache_size(cc.num_qubits))
-    ports = _PortBank(cqla.ports)
-    t_teleport = teleport_latency(tech)
-    misses = 0
-    teleports = 0
-    move_iter = movement if movement is not None else repeat(0.0)
-    ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, c, cond, move, ready, pi8, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, ready_iter,
-        cc.pi8_flag, cc.latency_us, cc.result_id,
-    ):
-        t = qubit_free[a]
-        if b >= 0:
-            v = qubit_free[b]
-            if v > t:
-                t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        q = a
-        while q >= 0:
-            if q in cache:
-                cache.touch(q)
-            else:
-                misses += 1
-                trips = 1 + (1 if cache.touch(q) is not None else 0)
-                for _ in range(trips):
-                    teleports += 1
-                    t = ports.book(t, t_teleport)
-            q = b if q == a else (c if q == b else -1)
-        if move:
-            t += move
-        if ready > t:
-            t = ready
-        if acquire is not None:
-            v = acquire(ZERO, a, ZEROS_PER_QEC, t)
-            if v > t:
-                t = v
-            if pi8:
-                v = acquire(PI8, a, 1, t)
-                if v > t:
-                    t = v
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    makespan = max(qubit_free) if qubit_free else 0.0
-    return makespan, misses, teleports

@@ -13,9 +13,9 @@ QEC) and "pi8" (encoded pi/8 ancillae for non-transversal gates).
 Every supply also *describes* its availability math declaratively via
 :meth:`ready_spec`: a :class:`ReadySpec` mapping each tracked kind to a
 closed-form ready-time description (steady-rate counter or per-qubit
-dedicated counters; untracked kinds are unconstrained). The compiled and
-point-batched dataflow engines lower that description into array kernels
-instead of calling :meth:`acquire` per gate — see
+dedicated counters; untracked kinds are unconstrained). The compiled
+dataflow kernel evaluates that description in closed form instead of
+calling :meth:`acquire` per gate — see
 :func:`declared_ready_spec` for the opt-in rules that keep overridden
 subclasses off the lowered path.
 """
@@ -51,9 +51,8 @@ class DedicatedKindSpec:
 
     ``rates_per_us[q]`` / ``consumed[q]`` describe qubit ``q``'s private
     generator. The lists are the supply's *live* state, not a snapshot:
-    the serial engine may replay consumption into them in place (exactly
-    as per-gate ``acquire`` would), while the batched engine treats them
-    as read-only and commits via ``advance_per_qubit(kind, counts)``.
+    the compiled kernel reads them and commits via
+    ``advance_per_qubit(kind, counts)`` after its walk.
     """
 
     rates_per_us: List[float]
@@ -188,9 +187,9 @@ class SteadyRateSupply:
 
     Because consumption is FIFO from a constant rate, availability has a
     closed form: the k-th ancilla of a kind exists at ``k / rate``. The
-    accessors below expose the counters so the compiled dataflow engine
-    can evaluate that closed form for a whole circuit at once instead of
-    calling :meth:`acquire` per gate; :meth:`advance` lets it commit the
+    accessors below expose the counters so the compiled dataflow kernel
+    can evaluate that closed form inside its walk instead of calling
+    :meth:`acquire` per gate; :meth:`advance` lets it commit the
     aggregate consumption afterwards so supply state stays identical to a
     gate-by-gate run.
 
@@ -237,11 +236,9 @@ class SteadyRateSupply:
     def steady_state(self, kind: str) -> Optional[Tuple[float, int]]:
         """``(rate_per_us, consumed_so_far)`` for ``kind``, or None.
 
-        The array form the point-batched dataflow engine consumes: one
-        ``(rate, consumed)`` pair per sweep point stacks into the rate
-        vector behind its ``(points, gates)`` ready matrix
-        (:func:`repro.arch.batched.steady_ready_matrix`). None means the
-        kind is untracked and never constrains.
+        One ``(rate, consumed)`` pair per sweep point — the same pair
+        :meth:`ready_spec` snapshots for the compiled kernel. None means
+        the kind is untracked and never constrains.
         """
         counter = self._counters.get(kind)
         if counter is None:
@@ -275,10 +272,9 @@ class DedicatedSupply:
     for QLA's two-orders-of-magnitude area overhead.
 
     Per-qubit state lives in flat parallel lists (rates, consumed counts)
-    rather than counter objects: the compiled dataflow engine indexes the
-    lists directly in its hot loop, and the point-batched engine lifts
-    them wholesale into ``(points, qubits)`` matrices — both without any
-    per-counter attribute traffic.
+    rather than counter objects: the compiled dataflow kernel lifts them
+    wholesale into ``(points, qubits)`` rows without any per-counter
+    attribute traffic.
 
     Args:
         rates_per_ms: *Per-qubit* production rate per kind.
@@ -315,13 +311,11 @@ class DedicatedSupply:
     ) -> Optional[Tuple[List[float], List[int]]]:
         """Per-qubit ``(rates, consumed)`` vectors for ``kind``, or None.
 
-        The array form both fast engines consume: the compiled serial
-        loop indexes (and mutates) the live lists in place of per-gate
-        :meth:`acquire` dispatch, and the point-batched engine stacks one
-        pair per sweep point into the ``(points, qubits)`` matrices
-        behind :func:`repro.arch.batched.dedicated_ready_matrix`. The
-        returned lists are this supply's live state — treat them as
-        read-only unless you are replaying consumption exactly.
+        The same live lists :meth:`ready_spec` hands the compiled
+        kernel, which stacks one pair per sweep point into
+        ``(points, qubits)`` rows. The returned lists are this supply's
+        live state — treat them as read-only unless you are replaying
+        consumption exactly.
         """
         rates = self._rates.get(kind)
         if rates is None:

@@ -20,13 +20,10 @@ come back in order, so parallel results are identical to serial ones.
 Under the default compiled engine the evaluator resolves each sweep's
 homogeneous point groups through the **point-batched** engine
 (:mod:`repro.arch.batched`): the whole throughput axis — and each
-QLA/CQLA/Multiplexed area ladder — executes as one vectorized pass over
-a ``(points, qubits)`` state matrix rather than one interpreted walk per
-point, bit-identically (roughly an order of magnitude faster at
-Figure-8/15 grid sizes; see ``benchmarks/test_bench_sweeps.py``). CQLA
-ladders ride a program-order lockstep kernel (port booking couples gates
-within a point, never across points, so the cache model vectorizes over
-the points axis too). Only ``engine="legacy"`` walks points one by one.
+QLA/CQLA/Multiplexed area ladder, cache model included — executes as one
+compiled program-order walk over all of its points, bit-identically (see
+``benchmarks/test_bench_sweeps.py``). Only ``engine="legacy"`` walks
+points one by one.
 """
 
 from __future__ import annotations

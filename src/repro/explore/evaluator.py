@@ -14,8 +14,8 @@ the compiled dataflow engine. It
   (:func:`repro.arch.batched.simulate_batch`): misses sharing a kernel,
   movement discipline, and CQLA configuration — every steady-supply
   point, and every QLA/CQLA/Multiplexed architecture point of one
-  configuration — become one numpy pass over a ``(points, qubits)``
-  state matrix instead of N serial ``run()`` walks, bit-identically.
+  configuration — become one compiled-kernel walk over all of them,
+  bit-identically.
   Only ``engine="legacy"`` runs take the per-point path;
 * shards cache misses across ``workers=N`` processes, compiling the
   kernel **once per worker** via a ``ProcessPoolExecutor`` initializer —
@@ -373,12 +373,12 @@ def evaluate_design_points(
     Points sharing a movement discipline and CQLA configuration (all
     steady-supply points; all architecture points of one
     kind/configuration, cache modes included) resolve through one
-    :func:`repro.arch.batched.simulate_batch` call — a single vectorized
-    pass over the whole group — instead of N serial ``run()`` walks.
-    Only the legacy engine takes the per-point path. Results are
-    bit-identical to per-point evaluation either way.
+    :func:`repro.arch.batched.simulate_batch` call — one compiled-kernel
+    walk over the whole group. Only the legacy engine takes the
+    per-point path. Results are bit-identical to per-point evaluation
+    either way.
     """
-    if engine != "compiled" or len(points) < 2:
+    if engine != "compiled":
         return [
             evaluate_design_point(summary, point, compiled, engine)
             for point in points
@@ -537,7 +537,7 @@ class Evaluator:
             the analysis's).
         engine: ``"compiled"`` (default) or ``"legacy"``. The compiled
             engine batch-resolves homogeneous misses through the
-            point-batched engine (one numpy pass per group,
+            point-batched engine (one compiled walk per group,
             bit-identical to per-point runs); the legacy engine always
             runs point by point.
         workers: When > 1, shard store misses across this many worker

@@ -1,8 +1,8 @@
 """Span tracer with JSONL / Chrome trace-event export and worker spools.
 
 The tracer answers "where did this run spend its time?" at *phase*
-granularity: lowering a circuit, walking dataflow levels, building a
-ready matrix, executing protocol frames, waiting on a lease. It is
+granularity: lowering a circuit, walking the dataflow kernel,
+executing protocol frames, waiting on a lease. It is
 **off by default** and free when off:
 
 * the module global :data:`TRACER` is ``None`` when disabled;

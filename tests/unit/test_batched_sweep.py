@@ -5,9 +5,8 @@ The point-batched engine (:mod:`repro.arch.batched`) must be
 compared with exact equality, never approx — across all supply models
 (infinite, steady, pooled, dedicated, zero-rate and untracked edge
 cases), with identical observable supply state afterwards. CQLA cache
-mode rides a program-order lockstep kernel; only supplies without a
-declared ready-spec fall back to the per-point serial path, and
-``REPRO_FORCE_PER_POINT=1`` forces that path for debugging.
+mode rides the same compiled program-order kernel; only supplies without
+a declared ready-spec take the per-gate ``acquire`` loop.
 """
 
 import math
@@ -22,12 +21,7 @@ from repro.arch.architectures import (
     MultiplexedConfig,
     QlaConfig,
 )
-from repro.arch.batched import (
-    _run_levels,
-    dedicated_ready_matrix,
-    steady_ready_matrix,
-)
-from repro.arch.simulator import DataflowSimulator, _steady_ready_times
+from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import (
     PI8,
     ZERO,
@@ -212,7 +206,7 @@ class TestArchitectureBatches:
 
 
 class TestCqlaBatches:
-    """CQLA cache mode rides the lockstep kernel — no per-point fallback."""
+    """CQLA cache mode rides the compiled kernel — no per-point fallback."""
 
     @staticmethod
     def _cqla_supplies(analysis, config, areas=_FACTORY_AREAS):
@@ -247,22 +241,24 @@ class TestCqlaBatches:
         assert any(r.cache_misses > 0 for r in batched)
 
     def test_every_cqla_point_takes_lockstep_kernel(self, qrca8, monkeypatch):
-        """The ladder must route through the vectorized CQLA kernel, not
-        the per-point fallback and not the level kernel."""
+        """The ladder must route through the compiled kernel, not the
+        per-gate acquire loop."""
         import repro.arch.batched as batched_module
+        from repro.arch import kernel
 
-        real = batched_module._run_cqla_lockstep
+        real = kernel.load_kernel()
+        assert real is not None, "the compiled kernel must build here"
         calls = []
 
-        def spy(cc, points, *args, **kwargs):
+        def spy(gates, points, *args):
             calls.append(points)
-            return real(cc, points, *args, **kwargs)
+            return real(gates, points, *args)
 
         def boom(*args, **kwargs):
-            raise AssertionError("level kernel must not run for CQLA")
+            raise AssertionError("acquire loop must not run for CQLA")
 
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", spy)
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
+        monkeypatch.setattr(kernel, "load_kernel", lambda: spy)
+        monkeypatch.setattr(batched_module, "_run_generic", boom)
         config = CqlaConfig()
         supplies = self._cqla_supplies(qrca8, config)
         _batched(qrca8, supplies, config, cqla=config)
@@ -319,37 +315,16 @@ class TestCqlaBatches:
 class TestFallbacks:
     def test_custom_supply_routes_per_point(self, qrca8, monkeypatch):
         """Unrecognized supplies bypass the vectorized kernel entirely."""
-        import repro.arch.batched as batched_module
+
+        from repro.arch import kernel
 
         def boom(*args, **kwargs):
-            raise AssertionError("vectorized kernel must not run")
+            raise AssertionError("compiled kernel must not run")
 
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
+        monkeypatch.setattr(kernel, "load_kernel", lambda: boom)
         supplies = [_CeilingSupply(), _CeilingSupply()]
         results = simulate_batch(qrca8.circuit, supplies, qrca8.tech)
         assert results == _serial(qrca8, [_CeilingSupply(), _CeilingSupply()])
-
-    def test_force_per_point_hatch_matches_batched(self, qrca8, monkeypatch):
-        """REPRO_FORCE_PER_POINT=1 sends every point down the serial path
-        without changing a single result bit."""
-        import repro.arch.batched as batched_module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("vectorized kernel must not run")
-
-        def supplies():
-            rate = qrca8.zero_bandwidth_per_ms / 2.0
-            return [
-                SteadyRateSupply({ZERO: rate, PI8: rate}),
-                InfiniteSupply(),
-                DedicatedSupply({ZERO: 0.05, PI8: 0.01}, qrca8.circuit.num_qubits),
-            ]
-
-        vectorized = _batched(qrca8, supplies())
-        monkeypatch.setenv("REPRO_FORCE_PER_POINT", "1")
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
-        assert _batched(qrca8, supplies()) == vectorized
 
     def test_instance_level_acquire_override_falls_back(self, qrca8):
         def supplies():
@@ -481,7 +456,7 @@ class TestSweepGrids:
         spans = self._batch_spans(traced)
         assert spans, "paper sweeps must route through simulate_batch"
         assert sum(span["fallback"] for span in spans) == 0
-        assert all(not span["forced"] for span in spans)
+        assert all(span["kernel"] == "c" for span in spans)
 
     def test_evaluator_batch_equals_per_point_evaluation(self, qrca8):
         """A mixed miss batch resolves to the same evaluations as N
@@ -508,71 +483,3 @@ class TestSweepGrids:
             for p in points
         ]
         assert batch == singles
-
-
-class TestReadyMatrices:
-    def test_steady_matrix_rows_match_serial_ready_vector(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        rates = np.array([1.5, 0.25, 0.0]) / 1000.0
-        matrix = steady_ready_matrix(
-            cc,
-            rates,
-            np.zeros(3),
-            rates / 2.0,
-            np.zeros(3),
-        )
-        assert matrix.shape == (3, cc.num_gates)
-        for row, rate in zip(matrix, rates):
-            serial = _steady_ready_times(
-                cc,
-                SteadyRateSupply(
-                    {ZERO: rate * 1000.0, PI8: rate * 500.0}
-                ),
-            )
-            assert np.array_equal(row, serial)
-
-    def test_gate_major_is_exact_transpose(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        rates = np.array([1.5, 0.25]) / 1000.0
-        consumed = np.array([4.0, 0.0])
-        points_major = steady_ready_matrix(
-            cc, rates, consumed, rates, consumed
-        )
-        gate_major = steady_ready_matrix(
-            cc, rates, consumed, rates, consumed, gate_major=True
-        )
-        assert np.array_equal(points_major, gate_major.T)
-
-    def test_dedicated_matrix_orientations_agree(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        nq = cc.num_qubits
-        rng = np.random.default_rng(3)
-        rates = rng.uniform(0.001, 0.1, size=(2, nq))
-        rates[1, 0] = 0.0
-        consumed = rng.integers(0, 5, size=(2, nq)).astype(np.float64)
-        points_major = dedicated_ready_matrix(cc, rates, consumed, rates, consumed)
-        gate_major = dedicated_ready_matrix(
-            cc, rates, consumed, rates, consumed, gate_major=True
-        )
-        assert np.array_equal(points_major, gate_major.T)
-
-
-class TestSerialReadyMemo:
-    def test_ready_vector_memoized_per_rates_fingerprint(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        first = _steady_ready_times(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
-        again = _steady_ready_times(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
-        assert first is again  # same object: served from the memo
-        assert isinstance(first, np.ndarray)
-        assert not first.flags.writeable
-        other = _steady_ready_times(cc, SteadyRateSupply({ZERO: 4.0, PI8: 1.0}))
-        assert other is not first
-
-    def test_consumed_state_lands_on_different_entry(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        supply = SteadyRateSupply({ZERO: 3.0, PI8: 1.0})
-        fresh = _steady_ready_times(cc, supply)
-        supply.advance(ZERO, 10)
-        shifted = _steady_ready_times(cc, supply)
-        assert shifted is not fresh
-        assert shifted[0] > fresh[0]

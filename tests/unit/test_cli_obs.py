@@ -140,10 +140,10 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "per-phase breakdown" in out
         assert "phase" in out and "calls" in out
-        # Every fig15 ladder batches now (CQLA included), so the profile
-        # shows the batched kernels rather than per-point simulate spans.
-        assert "batched.level_sweep" in out
-        assert "batched.cqla_lockstep" in out
+        # Every fig15 ladder (CQLA included) runs through the compiled
+        # kernel, whose walks the profile shows as simulate.level_walk.
+        assert "batched.simulate_batch" in out
+        assert "simulate.level_walk" in out
 
     def test_profile_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "profile.json"

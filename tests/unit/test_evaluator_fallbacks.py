@@ -4,8 +4,9 @@ The batched sweep suite exercises the happy point-batched path (and
 hypothesis drives it over random rate vectors); these tests pin the
 batching topology of :mod:`repro.explore.evaluator`:
 
-* CQLA points batch with their configuration group (the lockstep cache
-  kernel) — nothing about cache mode forces a per-point walk anymore;
+* CQLA points batch with their configuration group (the compiled
+  kernel models the cache) — nothing about cache mode forces a
+  per-point walk;
 * a lowered point whose supply overrides ``acquire`` (or any other
   spec-coupled method without re-declaring ``ready_spec``) routes
   through the per-point serial engine transparently, with identical
@@ -136,16 +137,26 @@ class TestCustomSupplyFallback:
         results = evaluator.evaluate([dict(p) for p in POINTS[:2]])
         assert len(results) == 2
 
-    def test_single_point_short_circuits_batching(self, qrca8, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("singleton batches take the serial path")
+    def test_single_point_takes_batch_path(self, qrca8, monkeypatch):
+        """A one-point miss batch takes the same kernel path as a wide one
+        (no per-point branch), bit-identical to the legacy engine."""
+        real_batch = batched_module.simulate_batch
+        sizes = []
 
-        monkeypatch.setattr(batched_module, "simulate_batch", boom)
+        def spy(circuit, supplies, *args, **kwargs):
+            sizes.append(len(supplies))
+            return real_batch(circuit, supplies, *args, **kwargs)
+
+        monkeypatch.setattr(batched_module, "simulate_batch", spy)
         summary = KernelSummary.from_analysis(qrca8)
         result = evaluate_design_points(
             summary, [dict(POINTS[0])], None, "compiled"
         )
-        assert len(result) == 1
+        legacy = evaluate_design_points(
+            summary, [dict(POINTS[0])], None, "legacy"
+        )
+        assert sizes == [1]
+        assert result == legacy
 
 
 class TestAliasedSupplyRejection:
